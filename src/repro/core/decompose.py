@@ -8,6 +8,13 @@ a corrected, lazier pace configuration with the descending search, and
 adopts the new plan iff its estimated total work is lower.  When the full
 split is rejected, partial decomposition candidates (section 4.3) are
 tried as a fallback.
+
+Every candidate plan gets a fresh cost model.  Surgery leaves most
+subplans untouched -- same sid, operators, statistics and descendant
+cone -- and the memo rows of those are carried into the new model
+(:func:`_carry_memo`), so the descending search re-simulates only what
+the surgery changed.  The adopted model keeps just the carried rows its
+searches hit.
 """
 
 import logging
@@ -16,6 +23,7 @@ from ..cost.memo import PlanCostModel
 from ..obs import OBS
 from ..relational import bitvec
 from .greedy import decrease_paces
+from .incremental import match_subplans
 from .partial import partial_cut_candidates
 from .regenerate import SplitLineage, apply_split
 from .split import LocalSplitOptimizer
@@ -103,10 +111,13 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
     """Run section 4.4 over the whole plan.
 
     ``cost_model`` may pass in the model already built for the greedy
-    search so its memo tables are reused for the initial evaluation.
+    search so its memo tables are reused; ``cost_config`` then defaults
+    to that model's.
     """
     current_plan = plan
     current_paces = dict(pace_config)
+    if cost_config is None and cost_model is not None:
+        cost_config = cost_model.config
     model = cost_model or PlanCostModel(current_plan, cost_config)
     evaluation = model.evaluate(current_paces)
     actions = []
@@ -169,6 +180,7 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
             and subplan.sid != sid
         ]
         worklist = fresh + [s for s in worklist if s in {p.sid for p in current_plan.subplans}]
+    model.release_carried_rows()
     if OBS.enabled:
         OBS.tracer.complete("optimize.decompose", start_us, {
             "adopted": len(actions),
@@ -178,6 +190,26 @@ def decompose_full_plan(plan, pace_config, absolute_constraints, max_pace,
         current_plan, current_paces, evaluation, model, actions,
         sid_origin=lineage.origin, tainted_origins=lineage.tainted,
     )
+
+
+def _carry_memo(old_model, new_model):
+    """Carry memo rows into a post-surgery model; returns the row count.
+
+    Only subplans the surgery left untouched qualify: the same sid, a
+    :func:`~repro.core.incremental.match_subplans`-identical operator
+    tree and query mask, and (checked by
+    :meth:`~repro.cost.memo.PlanCostModel.carry_memo_from`) an identical
+    descendant cone.  Surgery works on a plan clone, which shares every
+    node's calibrated statistics by reference, so the private pace
+    configurations of those subplans index the same simulations in both
+    models and the rows are exact.
+    """
+    untouched = {
+        sid: sid
+        for sid, old_sid in match_subplans(old_model.plan, new_model.plan).items()
+        if sid == old_sid
+    }
+    return new_model.carry_memo_from(old_model, untouched)
 
 
 def _find_subplan(plan, sid):
@@ -202,6 +234,7 @@ def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
         lineage = SplitLineage()
         new_plan, initial = apply_split(plan, paces, sid, parts, lineage=lineage)
         new_model = PlanCostModel(new_plan, cost_config)
+        _carry_memo(model, new_model)
         new_paces, new_eval = decrease_paces(
             new_model, absolute_constraints, initial
         )
@@ -211,12 +244,12 @@ def _try_subplan(plan, paces, model, evaluation, sid, absolute_constraints,
     if not enable_partial:
         return None
     return _try_partial(
-        plan, paces, sid, absolute_constraints, max_pace, cost_config,
+        plan, paces, model, sid, absolute_constraints, max_pace, cost_config,
         use_brute_force, evaluation,
     )
 
 
-def _try_partial(plan, paces, sid, absolute_constraints, max_pace,
+def _try_partial(plan, paces, model, sid, absolute_constraints, max_pace,
                  cost_config, use_brute_force, evaluation):
     """Partial-decomposition fallback (section 4.3)."""
     best = None
@@ -225,6 +258,7 @@ def _try_partial(plan, paces, sid, absolute_constraints, max_pace,
         for bottom_sid in bottom_sids:
             cut_paces[bottom_sid] = paces[sid]
         cut_model = PlanCostModel(cut_plan, cost_config)
+        _carry_memo(model, cut_model)
         cut_eval = cut_model.evaluate(cut_paces, collect_inputs=True)
         top = cut_plan.subplan_by_id(top_sid)
         local = cut_model.local_constraints(top, absolute_constraints)
@@ -244,6 +278,7 @@ def _try_partial(plan, paces, sid, absolute_constraints, max_pace,
             cut_plan, cut_paces, top_sid, parts, lineage=lineage
         )
         new_model = PlanCostModel(new_plan, cost_config)
+        _carry_memo(cut_model, new_model)
         new_paces, new_eval = decrease_paces(new_model, absolute_constraints, initial)
         if not _improves(new_eval, evaluation, absolute_constraints):
             continue

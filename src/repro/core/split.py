@@ -81,6 +81,8 @@ class LocalSplitOptimizer:
                 query_subset=partition,
             )
             self.simulations += 1
+            if OBS.enabled:
+                OBS.metrics.counter("split.simulations").inc()
             cached = (sim.private_total, sim.private_final)
             self._cost_cache[key] = cached
         return cached

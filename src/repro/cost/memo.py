@@ -8,7 +8,9 @@ the subplan and its descendants -- so each subplan keeps a memo table
 keyed by that private configuration (section 3.2).  The greedy pace
 search evaluates thousands of neighbouring configurations that differ in
 a single pace; with memoization only the changed subplan and its
-ancestors are ever re-simulated.
+ancestors are ever re-simulated, and :meth:`PlanCostModel.evaluate` given
+the neighbour's base evaluation and the changed sids copies every other
+subplan's estimate from the base without even a memo lookup.
 
 ``use_memo=False`` reproduces the baseline that re-simulates every
 configuration from scratch (the "iShare (w/o memo)" of Figure 15, which
@@ -16,6 +18,7 @@ DNFs at large max paces).
 """
 
 import time
+from operator import itemgetter
 
 from ..errors import CostModelError
 from ..mqo.nodes import SubplanRef, TableRef
@@ -38,7 +41,11 @@ def clamp_feedback_factor(factor):
 
 
 class CostEvaluation:
-    """Estimated cost of one pace configuration."""
+    """Estimated cost of one pace configuration.
+
+    ``source`` identifies the model state that produced it (see
+    :meth:`PlanCostModel.evaluate`'s ``base``).
+    """
 
     __slots__ = (
         "total_work",
@@ -47,15 +54,17 @@ class CostEvaluation:
         "subplan_final",
         "subplan_inputs",
         "subplan_outputs",
+        "source",
     )
 
-    def __init__(self):
+    def __init__(self, source=None):
         self.total_work = 0.0
         self.query_final_work = {}
         self.subplan_total = {}
         self.subplan_final = {}
         self.subplan_inputs = {}
         self.subplan_outputs = {}
+        self.source = source
 
     def __repr__(self):
         return "CostEvaluation(total=%.1f)" % self.total_work
@@ -89,10 +98,30 @@ class PlanCostModel:
         self._deadline = (time.monotonic() + time_budget) if time_budget else None
         self._order = plan.topological_order()
         self._descendants = self._compute_descendants()
+        self._ancestors = {subplan.sid: {subplan.sid} for subplan in self._order}
+        for sid, cone in self._descendants.items():
+            for desc in cone:
+                self._ancestors[desc].add(sid)
         self._memo = {subplan.sid: {} for subplan in self._order}
+        # memo rows carried in by carry_memo_from; a row moves into
+        # _memo on its first hit, and release_carried_rows drops the rest
+        self._carried = {subplan.sid: {} for subplan in self._order}
+        # one entry per subplan in topological order: everything evaluate
+        # needs besides the pace configuration, computed once
+        self._layout = []
+        for subplan in self._order:
+            sid = subplan.sid
+            cone = self._descendants[sid]
+            self._layout.append((
+                subplan, sid, self._memo[sid], self._carried[sid],
+                itemgetter(*cone), len(cone) == 1, subplan.query_ids(),
+            ))
         self._table_stats = {}
         self._solo_cache = {}
         self._feedback = {}
+        # replaced whenever the feedback corrections change, so a base
+        # evaluation computed under other corrections is never reused
+        self._state = object()
         self.simulation_count = 0
         self.evaluation_count = 0
 
@@ -104,6 +133,10 @@ class PlanCostModel:
                 acc |= sets[child.sid]
             sets[subplan.sid] = acc
         return {sid: tuple(sorted(acc)) for sid, acc in sets.items()}
+
+    def _set_feedback(self, feedback):
+        self._feedback = feedback
+        self._state = object()
 
     def reset_deadline(self):
         if self.time_budget:
@@ -142,8 +175,19 @@ class PlanCostModel:
 
     # -- Algorithm 1 ---------------------------------------------------------
 
-    def evaluate(self, pace_config, collect_inputs=False):
-        """Estimate ``C_T(P)`` and ``C_F(P, q)`` for every query."""
+    def evaluate(self, pace_config, collect_inputs=False, base=None,
+                 changed=()):
+        """Estimate ``C_T(P)`` and ``C_F(P, q)`` for every query.
+
+        ``base`` is an evaluation this model produced for a neighbouring
+        configuration that differs from ``pace_config`` only in the paces
+        of the ``changed`` sids.  A subplan whose descendant cone holds no
+        changed sid has the same private pace configuration in both, so
+        its estimate is copied from ``base`` -- exactly the memo row a
+        lookup would return.  Totals are still summed in topological
+        order, so the result is bit-identical to evaluating from scratch.
+        Without memoization ``base`` is ignored.
+        """
         self._check_deadline()
         self.evaluation_count += 1
         metrics = OBS.metrics if OBS.enabled else None
@@ -153,46 +197,76 @@ class PlanCostModel:
                 metrics.gauge("cost.deadline_headroom_seconds").set(
                     round(self._deadline - time.monotonic(), 4)
                 )
-        evaluation = CostEvaluation()
-        outputs = {}
-        for subplan in self._order:
-            key = tuple(pace_config[sid] for sid in self._descendants[subplan.sid])
-            memo = self._memo[subplan.sid]
-            cached = memo.get(key) if self.use_memo else None
-            if metrics is not None:
-                metrics.counter(
-                    "cost.memo.hit" if cached is not None else "cost.memo.miss"
-                ).inc()
-            if cached is None:
-                inputs = self._inputs_for(subplan, outputs)
-                sim = simulate_subplan(
-                    subplan, pace_config[subplan.sid], inputs, self.config
-                )
-                self.simulation_count += 1
-                cached = (sim.private_total, sim.private_final, sim.out_profile)
-                if self.use_memo:
-                    memo[key] = cached
-                self._check_deadline()
-            private_total, private_final, out_profile = cached
-            correction = self._feedback.get(subplan.sid)
-            if correction is not None:
-                private_total *= correction[0]
-                private_final *= correction[1]
-            outputs[subplan.sid] = out_profile
-            evaluation.total_work += private_total
-            evaluation.subplan_total[subplan.sid] = private_total
-            evaluation.subplan_final[subplan.sid] = private_final
-            evaluation.subplan_outputs[subplan.sid] = out_profile
+        use_memo = self.use_memo
+        dirty = None
+        if base is not None and use_memo and base.source is self._state:
+            dirty = set()
+            for sid in changed:
+                dirty |= self._ancestors[sid]
+            base_total = base.subplan_total
+            base_final = base.subplan_final
+            base_outputs = base.subplan_outputs
+        feedback = self._feedback
+        evaluation = CostEvaluation(self._state)
+        subplan_total = evaluation.subplan_total
+        subplan_final = evaluation.subplan_final
+        outputs = evaluation.subplan_outputs
+        query_final_work = evaluation.query_final_work
+        total_work = 0.0
+        reused = 0
+        for subplan, sid, memo, carried, key_of, single, qids in self._layout:
+            if dirty is not None and sid not in dirty:
+                private_total = base_total[sid]
+                private_final = base_final[sid]
+                out_profile = base_outputs[sid]
+                reused += 1
+            else:
+                key = key_of(pace_config)
+                if single:
+                    key = (key,)
+                cached = memo.get(key) if use_memo else None
+                if cached is None and carried:
+                    cached = carried.pop(key, None)
+                    if cached is not None:
+                        memo[key] = cached
+                if metrics is not None:
+                    metrics.counter(
+                        "cost.memo.hit" if cached is not None
+                        else "cost.memo.miss"
+                    ).inc()
+                if cached is None:
+                    inputs = self._inputs_for(subplan, outputs)
+                    sim = simulate_subplan(
+                        subplan, pace_config[sid], inputs, self.config
+                    )
+                    self.simulation_count += 1
+                    cached = (sim.private_total, sim.private_final,
+                              sim.out_profile)
+                    if use_memo:
+                        memo[key] = cached
+                    self._check_deadline()
+                private_total, private_final, out_profile = cached
+                correction = feedback.get(sid)
+                if correction is not None:
+                    private_total *= correction[0]
+                    private_final *= correction[1]
+            outputs[sid] = out_profile
+            total_work += private_total
+            subplan_total[sid] = private_total
+            subplan_final[sid] = private_final
             if collect_inputs:
-                evaluation.subplan_inputs[subplan.sid] = self._inputs_for(
+                evaluation.subplan_inputs[sid] = self._inputs_for(
                     subplan, outputs
                 )
-            for qid in subplan.query_ids():
-                evaluation.query_final_work[qid] = (
-                    evaluation.query_final_work.get(qid, 0.0) + private_final
+            for qid in qids:
+                query_final_work[qid] = (
+                    query_final_work.get(qid, 0.0) + private_final
                 )
+        evaluation.total_work = total_work
         for qid in self.plan.query_roots:
-            evaluation.query_final_work.setdefault(qid, 0.0)
+            query_final_work.setdefault(qid, 0.0)
+        if reused and metrics is not None:
+            metrics.counter("cost.neighbor.reused").inc(reused)
         return evaluation
 
     # -- feedback calibration from prior executions -----------------------------
@@ -214,9 +288,9 @@ class PlanCostModel:
         ``[FEEDBACK_FACTOR_MIN, FEEDBACK_FACTOR_MAX]``.
         """
         if run_result is None:
-            self._feedback = {}
+            self._set_feedback({})
             return {}
-        self._feedback = {}  # measure corrections against raw estimates
+        self._set_feedback({})  # measure corrections against raw estimates
         estimate = self.evaluate(pace_config)
         feedback = {}
         for subplan in self.plan.subplans:
@@ -234,7 +308,7 @@ class PlanCostModel:
                 if measured_final is not None and est_final > 0 else 1.0
             )
             feedback[sid] = (total_factor, final_factor)
-        self._feedback = feedback
+        self._set_feedback(feedback)
         if OBS.enabled:
             # Q-error of the *total-work* estimate: max(f, 1/f) >= 1, the
             # standard symmetric under/over-estimation measure
@@ -275,25 +349,13 @@ class PlanCostModel:
 
         Returns the number of memo rows carried over.
         """
-        carried = 0
-        for new_sid, old_sid in sid_map.items():
-            old_desc = old_model._descendants.get(old_sid)
-            new_desc = self._descendants.get(new_sid)
-            if old_desc is None or new_desc is None:
-                continue
-            translated = tuple(sid_map.get(d) for d in new_desc)
-            if None in translated or sorted(translated) != sorted(old_desc):
-                continue
-            # position i of a new memo key holds the pace of new_desc[i],
-            # which lives at old_desc.index(translated[i]) in an old key
-            positions = [old_desc.index(t) for t in translated]
-            new_memo = self._memo[new_sid]
-            for old_key, value in old_model._memo.get(old_sid, {}).items():
-                new_memo[tuple(old_key[p] for p in positions)] = value
-                carried += 1
+        carried, cones = self._carry_memo_rows(old_model, sid_map, self._memo)
+        feedback = dict(self._feedback)
+        for new_sid, old_sid in cones:
             correction = old_model._feedback.get(old_sid)
             if correction is not None:
-                self._feedback[new_sid] = correction
+                feedback[new_sid] = correction
+        self._set_feedback(feedback)
         for qid in self.plan.query_roots:
             new_sids = [s.sid for s in self.plan.subplans_of_query(qid)]
             if any(sid not in sid_map for sid in new_sids):
@@ -313,6 +375,64 @@ class PlanCostModel:
             if len(mapped) == len(per_subplan) == len(new_sids):
                 self._solo_cache[qid] = (total, mapped)
         return carried
+
+    def carry_memo_from(self, old_model, sid_map):
+        """Carry the memo rows of :meth:`carry_state_from`, and only those.
+
+        Used across decomposition surgery, where ``sid_map`` pairs
+        subplans the surgery left untouched.  A memo row is a pure
+        function of the subplan's operators, their statistics, its cone
+        and the cost constants, so rows move only between memoizing
+        models whose :class:`~repro.cost.model.CostConfig` compare equal.
+        The rows stay apart from this model's own memo until a lookup
+        hits them (:meth:`release_carried_rows`).  Returns the number of
+        rows carried.
+        """
+        if not (self.use_memo and old_model.use_memo) \
+                or old_model.config != self.config:
+            return 0
+        return self._carry_memo_rows(old_model, sid_map, self._carried)[0]
+
+    def release_carried_rows(self):
+        """Drop carried memo rows no lookup has hit.
+
+        A model that outlives its search then holds the rows it used,
+        no more than if it had simulated them itself.
+        """
+        for rows in self._carried.values():
+            rows.clear()
+
+    def _carry_memo_rows(self, old_model, sid_map, into):
+        """Rows of every ``sid_map`` pair whose whole cone matched, copied
+        from both of ``old_model``'s tiers into ``into`` (``{sid: rows}``).
+
+        Returns ``(rows carried, [(new sid, old sid)] of those pairs)``.
+        """
+        carried = 0
+        cones = []
+        for new_sid, old_sid in sid_map.items():
+            old_desc = old_model._descendants.get(old_sid)
+            new_desc = self._descendants.get(new_sid)
+            if old_desc is None or new_desc is None:
+                continue
+            translated = tuple(sid_map.get(d) for d in new_desc)
+            if None in translated or sorted(translated) != sorted(old_desc):
+                continue
+            cones.append((new_sid, old_sid))
+            new_rows = into[new_sid]
+            # position i of a new memo key holds the pace of new_desc[i],
+            # which lives at old_desc.index(translated[i]) in an old key
+            positions = [old_desc.index(t) for t in translated]
+            for old_rows in (old_model._memo[old_sid], old_model._carried[old_sid]):
+                carried += len(old_rows)
+                if translated == old_desc:  # keys already in this order
+                    new_rows.update(old_rows)
+                    continue
+                for old_key, value in old_rows.items():
+                    new_rows[tuple(old_key[p] for p in positions)] = value
+        if carried and OBS.enabled:
+            OBS.metrics.counter("cost.memo.carried_rows").inc(carried)
+        return carried, cones
 
     # -- solo (separate, one-batch) estimates ---------------------------------
 

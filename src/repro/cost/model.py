@@ -76,6 +76,22 @@ class CostConfig:
         self.state_factor = float(state_factor)
         self.arranged_state = bool(arranged_state)
 
+    def _key(self):
+        return (self.execution_overhead, self.minmax_rescan_factor,
+                self.state_factor, self.arranged_state)
+
+    def __eq__(self, other):
+        if not isinstance(other, CostConfig):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("CostConfig(execution_overhead=%r, minmax_rescan_factor=%r, "
+                "state_factor=%r, arranged_state=%r)" % self._key())
+
 
 DEFAULT_COST_CONFIG = CostConfig()
 

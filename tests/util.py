@@ -106,3 +106,34 @@ def calibrated_shared_plan(catalog, queries, stream_config=None):
     plan = shared_plan_for(catalog, queries)
     calibrate_plan(plan, stream_config or StreamConfig())
     return plan
+
+
+def decomposition_fingerprint(outcome, records=()):
+    """Everything a decomposition decided, floats as ``float.hex``.
+
+    Two outcomes with equal fingerprints chose the same plan, paces and
+    actions at bit-identical estimated work; ``records`` are the
+    decision-log records of the run.
+    """
+    evaluation = outcome.evaluation
+
+    def hexed(mapping):
+        return sorted((key, value.hex()) for key, value in mapping.items())
+
+    return {
+        "sids": sorted(subplan.sid for subplan in outcome.plan.subplans),
+        "paces": sorted(outcome.pace_config.items()),
+        "total_work": evaluation.total_work.hex(),
+        "query_final_work": hexed(evaluation.query_final_work),
+        "subplan_total": hexed(evaluation.subplan_total),
+        "subplan_final": hexed(evaluation.subplan_final),
+        "actions": [
+            (action.target_sid, action.kind,
+             [list(part) for part in action.partitions],
+             action.work_before.hex(), action.work_after.hex())
+            for action in outcome.actions
+        ],
+        "sid_origin": sorted(outcome.sid_origin.items()),
+        "tainted_origins": sorted(outcome.tainted_origins),
+        "records": list(records),
+    }
