@@ -5,8 +5,11 @@ Measures, for each physical operator class, the delta throughput of the
 batched hot path against the original per-tuple reference path (kept in
 the engine as the switchable correctness oracle), plus the fig11-style
 end-to-end wall clock and the effect of the compiled-artifact cache and
-operator-tree reuse.  When numpy is available the columnar backend
-(``engine_mode="columnar"``, docs/PERFORMANCE.md) is timed as a third
+operator-tree reuse.  Both caches are always on in the engine, so the
+reference legs are kept cold by clearing them
+(``clear_compiled_caches()``) and building a fresh executor for every
+timed run.  When numpy is available the columnar backend
+(``engine_mode(columnar=True)``, docs/PERFORMANCE.md) is timed as a third
 leg of every case.  Results land in ``BENCH_hotpath.json`` and the
 columnar-vs-batched extract in ``BENCH_columnar.json`` (repo root by
 default; see docs/PERFORMANCE.md for how to read them).
@@ -25,7 +28,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py [--quick]
         [--output PATH] [--columnar-output PATH]
         [--arrangements-output PATH] [--scale S] [--repeat N] [--seed S]
-        [--jobs N] [--check]
+        [--check]
 
 This is a standalone script (not a pytest-benchmark module) so CI can run
 it directly and archive the JSON artifacts.
@@ -44,7 +47,6 @@ sys.path.insert(
 )
 
 from repro.engine.executor import PlanExecutor  # noqa: E402
-from repro.engine.parallel import plan_components, run_parallel  # noqa: E402
 from repro.engine.stream import StreamConfig  # noqa: E402
 from repro.logical.builder import PlanBuilder  # noqa: E402
 from repro.mqo.merge import MQOOptimizer, build_unshared_plan  # noqa: E402
@@ -157,7 +159,9 @@ def _micro_case(make_exec, batches, repeat, make_columnar=None):
     """
     n_deltas = sum(len(batch) for batch in batches)
 
-    def drain(builder):
+    def drain(builder, cold):
+        if cold:
+            clear_compiled_caches()
         exec_op = builder()
         total = 0
         while True:
@@ -167,22 +171,22 @@ def _micro_case(make_exec, batches, repeat, make_columnar=None):
                 break
         return total
 
+    # (label, engine mode, builder, recompile every timed run)
     modes = [
-        ("batched", dict(batched=True, compile_cache=True), make_exec),
-        ("reference", dict(batched=False, compile_cache=False), make_exec),
+        ("batched", dict(batched=True), make_exec, False),
+        ("reference", dict(batched=False), make_exec, True),
     ]
     if make_columnar is not None and columnar_available():
         modes.append(
-            ("columnar",
-             dict(batched=True, compile_cache=True, columnar=True),
-             make_columnar)
+            ("columnar", dict(batched=True, columnar=True), make_columnar,
+             False)
         )
 
     timings = {}
-    for label, mode, builder in modes:
+    for label, mode, builder, cold in modes:
         clear_compiled_caches()
         with engine_mode(**mode):
-            seconds = _timed(lambda: drain(builder), repeat)
+            seconds = _timed(lambda: drain(builder, cold), repeat)
         timings[label] = {
             "seconds": seconds,
             "deltas_per_sec": n_deltas / seconds if seconds > 0 else None,
@@ -446,8 +450,14 @@ def bench_consolidate(n, repeat):
     }
 
 
+def _cold_run(plan, config, paces):
+    """One run with nothing compiled: cleared caches, a fresh executor."""
+    clear_compiled_caches()
+    return PlanExecutor(plan, config).run(paces, collect_results=False)
+
+
 def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
-                     pace_parent=1, pace_leaf=3, jobs=1):
+                     pace_parent=1, pace_leaf=3):
     """fig11-shaped run: shared plan over all 22 queries, mixed paces.
 
     The default regime (25% update fraction, paces 1/3) is a point on
@@ -466,27 +476,21 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
     }
     config = StreamConfig()
 
+    def warm_run(plan, config, paces):
+        return PlanExecutor(plan, config).run(paces, collect_results=False)
+
     modes = [
-        ("batched", dict(batched=True, compile_cache=True, reuse_trees=True)),
-        ("reference", dict(batched=False, compile_cache=False,
-                           reuse_trees=False)),
+        ("batched", dict(batched=True), warm_run),
+        ("reference", dict(batched=False), _cold_run),
     ]
     if columnar_available():
-        modes.append(
-            ("columnar", dict(batched=True, compile_cache=True,
-                              reuse_trees=True, columnar=True))
-        )
+        modes.append(("columnar", dict(batched=True, columnar=True), warm_run))
 
     results = {}
-    for label, mode in modes:
+    for label, mode, run in modes:
         clear_compiled_caches()
         with engine_mode(**mode):
-            seconds = _timed(
-                lambda: PlanExecutor(plan, config).run(
-                    paces, collect_results=False
-                ),
-                repeat,
-            )
+            seconds = _timed(lambda: run(plan, config, paces), repeat)
         results[label] = {"seconds": seconds}
     results["speedup"] = (
         results["reference"]["seconds"] / results["batched"]["seconds"]
@@ -498,43 +502,10 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
             if results["columnar"]["seconds"] > 0 else None
         )
 
-    components = plan_components(plan)
-    if jobs > 1 and len(components) > 1 and columnar_available():
-        # intra-trigger parallelism: independent subplan components in
-        # worker processes (repro.engine.parallel); the leg first asserts
-        # bit-identity against the serial run, then times the fan-out
-        clear_compiled_caches()
-        with engine_mode(batched=True, compile_cache=True, reuse_trees=True,
-                         columnar=True):
-            serial_probe = PlanExecutor(plan, config).run(paces)
-            parallel_probe = run_parallel(plan, paces, config, jobs=jobs)
-            if _run_fingerprint(serial_probe) != _run_fingerprint(
-                parallel_probe
-            ):
-                raise AssertionError(
-                    "serial and --jobs %d runs diverged -- the determinism "
-                    "contract is broken; do not trust these numbers" % jobs
-                )
-            seconds = _timed(
-                lambda: run_parallel(
-                    plan, paces, config, jobs=jobs, collect_results=False
-                ),
-                repeat,
-            )
-        results["columnar_parallel"] = {
-            "seconds": seconds,
-            "jobs": jobs,
-            "serial_identical": True,
-            "vs_serial_columnar": (
-                results["columnar"]["seconds"] / seconds
-                if seconds > 0 else None
-            ),
-        }
-
     # compiled-plan reuse: repeated runs on one executor vs fresh executors
     runs = 4
     clear_compiled_caches()
-    with engine_mode(batched=True, compile_cache=True, reuse_trees=True):
+    with engine_mode(batched=True):
         executor = PlanExecutor(plan, config)
         executor.run(paces, collect_results=False)  # warm the tree
 
@@ -543,11 +514,10 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
                 executor.run(paces, collect_results=False)
 
         reused_seconds = _timed(reused, repeat)
-    with engine_mode(batched=True, compile_cache=False, reuse_trees=False):
+
         def fresh():
             for _ in range(runs):
-                clear_compiled_caches()
-                PlanExecutor(plan, config).run(paces, collect_results=False)
+                _cold_run(plan, config, paces)
 
         fresh_seconds = _timed(fresh, repeat)
     results["plan_reuse"] = {
@@ -566,7 +536,6 @@ def bench_end_to_end(scale, repeat, seed=5, fraction=0.25,
         "pace_parent": pace_parent,
         "pace_leaf": pace_leaf,
         "paces": sorted(set(paces.values())),
-        "components": len(components),
     }
     return results
 
@@ -578,8 +547,8 @@ def bench_probe_crossover(repeat, total=32_768,
     The columnar join picks its probe strategy per delta batch:
     batches at or below ``SCALAR_PROBE_MAX`` rows run the scalar
     dict-loop probe, larger ones the arange/repeat vectorized probe
-    (``REPRO_SCALAR_PROBE_MAX`` overrides, 0 forces vectorized).  This
-    leg forces each strategy across per-advance batch sizes on the join
+    (setting the module attribute to 0 forces vectorized).  This leg
+    forces each strategy across per-advance batch sizes on the join
     micro's distinct-row shape and reports where vectorization starts
     winning -- the measurement behind the shipped default.
     """
@@ -640,8 +609,7 @@ def bench_probe_crossover(repeat, total=32_768,
             columnar_mod.SCALAR_PROBE_MAX = probe_max
             try:
                 clear_compiled_caches()
-                with engine_mode(batched=True, compile_cache=True,
-                                 columnar=True):
+                with engine_mode(batched=True, columnar=True):
                     legs[label] = _timed(drain, repeat)
             finally:
                 columnar_mod.SCALAR_PROBE_MAX = saved
@@ -668,77 +636,6 @@ def bench_probe_crossover(repeat, total=32_768,
         "points": points,
         "crossover_batch_rows": crossover,
         "default_scalar_probe_max": columnar_mod.SCALAR_PROBE_MAX,
-        "env_override": "REPRO_SCALAR_PROBE_MAX",
-    }
-
-
-#: profiled-share buckets for the overhead breakdown, by code location
-_BREAKDOWN_BUCKETS = (
-    # operator kernels: columnar/fused/batched operator code plus numpy
-    ("kernel", ("/repro/physical/", "/numpy/", "<fused:")),
-    # row<->column boundary: ColumnBatch materialization and conversion
-    ("boundary_materialization", ("/repro/engine/columns",)),
-    # scheduling, buffers, streams, metering around the kernels
-    ("plan_driver", ("/repro/engine/", "/repro/mqo/", "/repro/relational/")),
-)
-
-
-def bench_e2e_overhead_breakdown(scale, seed=5, fraction=0.25,
-                                 pace_parent=1, pace_leaf=3):
-    """Where one columnar fig11 run spends its time (profiled shares).
-
-    Profiles a single warmed end-to-end run under ``cProfile`` and
-    buckets per-function self time into kernel work, row<->column
-    boundary materialization, and plan-driver overhead.  The absolute
-    seconds carry instrumentation overhead (roughly 2x wall clock); the
-    *shares* are what this leg is for -- they say which layer to attack
-    next, and how much boundary cost the columnar-native buffer
-    passthrough still leaves behind.
-    """
-    import cProfile
-    import pstats
-
-    catalog = generate_catalog(scale=scale, seed=seed)
-    add_lineitem_updates(catalog, fraction=fraction, seed=seed + 6)
-    queries = build_workload(catalog, ALL_QUERY_NAMES)
-    plan = MQOOptimizer(catalog).build_shared_plan(queries)
-    paces = {
-        subplan.sid: pace_parent if subplan.child_subplans() else pace_leaf
-        for subplan in plan.subplans
-    }
-    config = StreamConfig()
-
-    clear_compiled_caches()
-    with engine_mode(batched=True, compile_cache=True, reuse_trees=True,
-                     columnar=True):
-        executor = PlanExecutor(plan, config)
-        executor.run(paces, collect_results=False)  # warm the tree
-        profile = cProfile.Profile()
-        profile.enable()
-        executor.run(paces, collect_results=False)
-        profile.disable()
-
-    buckets = {name: 0.0 for name, _ in _BREAKDOWN_BUCKETS}
-    buckets["other"] = 0.0
-    total = 0.0
-    for (filename, _, _), entry in pstats.Stats(profile).stats.items():
-        self_seconds = entry[2]
-        total += self_seconds
-        for name, needles in _BREAKDOWN_BUCKETS:
-            if any(needle in filename for needle in needles):
-                buckets[name] += self_seconds
-                break
-        else:
-            buckets["other"] += self_seconds
-
-    return {
-        "profiled_seconds": total,
-        "seconds": {name: seconds for name, seconds in buckets.items()},
-        "shares": {
-            name: (seconds / total if total > 0 else None)
-            for name, seconds in buckets.items()
-        },
-        "note": "self time under cProfile; read the shares, not the seconds",
     }
 
 
@@ -822,8 +719,7 @@ def bench_arrangements(n_events, repeat, n_queries=6, seed=9):
     fingerprints = {}
     for label, arranged in (("arranged", True), ("private", False)):
         clear_compiled_caches()
-        with engine_mode(batched=True, compile_cache=True, reuse_trees=True,
-                         arrangements=arranged):
+        with engine_mode(batched=True, arrangements=arranged):
             executor = PlanExecutor(plan, config)
             probe = executor.run(paces)
             fingerprints[label] = _run_fingerprint(probe)
@@ -895,14 +791,8 @@ def _columnar_report(report):
             "workload": e2e["workload"],
         },
     }
-    if "columnar_parallel" in e2e:
-        extract["end_to_end_fig11"]["columnar_parallel"] = (
-            e2e["columnar_parallel"]
-        )
     if "probe_crossover" in report:
         extract["probe_crossover"] = report["probe_crossover"]
-    if "e2e_overhead_breakdown" in report:
-        extract["e2e_overhead_breakdown"] = report["e2e_overhead_breakdown"]
     return extract
 
 
@@ -928,9 +818,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=5,
                         help="catalog seed for the end-to-end section "
                              "(updates stream uses seed+6)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the intra-trigger "
-                             "parallel end-to-end leg (1 = serial only)")
     args = parser.parse_args(argv)
 
     if args.quick:
@@ -1018,7 +905,7 @@ def main(argv=None):
 
     print("end-to-end fig11 workload (scale %.2f, seed %d)"
           % (scale, args.seed))
-    e2e = bench_end_to_end(scale, repeat, seed=args.seed, jobs=args.jobs)
+    e2e = bench_end_to_end(scale, repeat, seed=args.seed)
     report["end_to_end_fig11"] = e2e
     print(
         "  wall clock: %.3fs batched  %.3fs reference  %.2fx"
@@ -1032,27 +919,6 @@ def main(argv=None):
         print(
             "  columnar:   %.3fs (%.2fx vs batched)"
             % (e2e["columnar"]["seconds"], e2e["columnar_vs_batched"])
-        )
-    if "columnar_parallel" in e2e:
-        par = e2e["columnar_parallel"]
-        print(
-            "  --jobs %d:   %.3fs (%.2fx vs serial columnar, bit-identical)"
-            % (par["jobs"], par["seconds"], par["vs_serial_columnar"])
-        )
-
-    if columnar_available():
-        breakdown = bench_e2e_overhead_breakdown(scale, seed=args.seed)
-        report["e2e_overhead_breakdown"] = breakdown
-        shares = breakdown["shares"]
-        print(
-            "  overhead breakdown (profiled shares): kernel %.0f%%  "
-            "boundary %.0f%%  driver %.0f%%  other %.0f%%"
-            % (
-                100 * shares["kernel"],
-                100 * shares["boundary_materialization"],
-                100 * shares["plan_driver"],
-                100 * shares["other"],
-            )
         )
     print(
         "  plan reuse (%d runs): %.3fs reused  %.3fs fresh  %.2fx"

@@ -280,6 +280,10 @@ class CalibrationCache:
             with open(self._path(key)) as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
+            payload = None
+        if not isinstance(payload, dict):
+            # unreadable, truncated, or valid JSON that is not an object
+            # (``null``, ``[]``, ``7``): a corrupt entry is a miss
             self.misses += 1
             _count("miss")
             return None

@@ -40,9 +40,11 @@ eagerly, so the index never holds dead keys.  A pinned
 :class:`~repro.engine.buffers.BufferReader` trails the oldest live
 version so buffer compaction never outruns an arrangement.
 
-The kill switch ``REPRO_ENGINE_NO_ARRANGEMENTS=1`` (or
-``engine_mode(arrangements=False)``) restores the private-state path,
-which is kept as the work/result oracle.
+``arrangements`` is one of the engine's three toggles
+(:mod:`repro.physical.hotpath`).  The kill switch
+``REPRO_ENGINE_NO_ARRANGEMENTS=1`` (or ``engine_mode(arrangements=False)``)
+restores the private-state path, which is kept as the work/result
+oracle.
 """
 
 from operator import attrgetter

@@ -185,12 +185,15 @@ def _replay_cached(plan, stream_config, payload):
     """
     try:
         calibration_cache.apply_stats(plan, payload["stats"])
+        stored_query_work = payload["query_batch_work"]
+        stored_subplan_work = payload.get("subplan_total_work", {})
+        if not (isinstance(stored_query_work, dict)
+                and isinstance(stored_subplan_work, dict)):
+            return None
         query_batch_work = {
-            int(qid): float(work)
-            for qid, work in payload["query_batch_work"].items()
+            int(qid): float(work) for qid, work in stored_query_work.items()
         }
         total_work = float(payload["total_work"])
-        stored_subplan_work = payload.get("subplan_total_work", {})
     except (KeyError, TypeError, ValueError):
         return None
     if set(query_batch_work) != set(plan.query_roots):

@@ -10,9 +10,8 @@ own offsets.
 
 All state (hash tables, aggregate groups, buffer offsets) persists across
 the incremental executions of one run; a new :meth:`PlanExecutor.run`
-starts from scratch.  With :data:`~repro.physical.hotpath.HOTPATH`
-``reuse_trees`` enabled (the default) "from scratch" reuses the compiled
-operator tree -- state is deterministically reset instead of rebuilt, so
+starts from scratch.  "From scratch" reuses the compiled operator
+tree -- state is deterministically reset instead of rebuilt, so
 repeated runs of one executor (pace search nudging, two-phase baselines,
 calibration) stop re-paying compilation.  Between trigger points the
 executor also compacts drained buffer prefixes in place; query-root
@@ -88,8 +87,7 @@ class CompiledSubplan:
 class PlanExecutor:
     """Executes a shared plan under pace configurations."""
 
-    def __init__(self, plan, stream_config=None, stats_mode=False, catalog=None,
-                 only=None):
+    def __init__(self, plan, stream_config=None, stats_mode=False, catalog=None):
         self.plan = plan
         self.stream_config = stream_config or StreamConfig()
         self.stats_mode = stats_mode
@@ -97,17 +95,10 @@ class PlanExecutor:
         #: different day's data (recurring queries re-run over each new
         #: trigger window while the plan/statistics come from history)
         self.catalog = catalog or plan.catalog
-        #: optional restriction to a subset of subplan sids (an
-        #: intra-trigger parallel worker's component,
-        #: :mod:`repro.engine.parallel`).  The subset must be closed
-        #: under subplan dependencies; only the included subplans are
-        #: compiled, scheduled, and reported.
-        self.only = frozenset(only) if only is not None else None
         self.compiled = None  # filled per run
-        self._runtime = None  # reusable compiled tree (HOTPATH.reuse_trees)
+        self._runtime = None  # reusable compiled tree
         self._runtime_columnar = None  # backend the cached tree was built for
         self._runtime_arranged = None  # arrangements toggle at compile time
-        self._runtime_fused = None  # fusion toggle at compile time
 
     def rebind(self, plan=None, catalog=None):
         """Swap the plan and/or catalog this executor runs.
@@ -147,17 +138,10 @@ class PlanExecutor:
             and max(self.plan.query_roots, default=0) < 62
         )
 
-    def _included(self, sid):
-        return self.only is None or sid in self.only
-
     def _compile(self):
         self._runtime_columnar = self._columnar_active()
         self._runtime_arranged = bool(HOTPATH.arrangements)
-        self._runtime_fused = bool(HOTPATH.fusion)
-        order = [
-            subplan for subplan in self.plan.topological_order()
-            if self._included(subplan.sid)
-        ]
+        order = self.plan.topological_order()
         table_streams = {}
         table_buffers = {}
         for subplan in order:
@@ -177,23 +161,21 @@ class PlanExecutor:
             compiled[subplan.sid] = CompiledSubplan(subplan, meter, root_exec, buffer)
         # query-root buffers are replayed from offset 0 by query_result_view
         for root in self.plan.query_roots.values():
-            if root.sid in compiled:
-                compiled[root.sid].buffer.pinned = True
+            compiled[root.sid].buffer.pinned = True
         return table_streams, table_buffers, compiled, order, store
 
     def _ensure_compiled(self):
-        """The runtime tuple, reusing the previous run's tree when allowed.
+        """The runtime tuple, reusing the previous run's tree when the
+        backend and arrangements toggles still match it.
 
         Reuse resets all mutable state (streams, buffers, reader offsets,
         meters, hash tables, aggregate groups, stats counters) so a reused
         tree is indistinguishable from a freshly compiled one.
         """
         if (
-            HOTPATH.reuse_trees
-            and self._runtime is not None
+            self._runtime is not None
             and self._runtime_columnar == self._columnar_active()
             and self._runtime_arranged == bool(HOTPATH.arrangements)
-            and self._runtime_fused == bool(HOTPATH.fusion)
         ):
             table_streams, table_buffers, compiled, order, store = self._runtime
             for stream in table_streams.values():
@@ -209,10 +191,8 @@ class PlanExecutor:
             if OBS.enabled:
                 OBS.metrics.counter("engine.tree_reuse").inc()
             return self._runtime
-        runtime = self._compile()
-        if HOTPATH.reuse_trees:
-            self._runtime = runtime
-        return runtime
+        self._runtime = self._compile()
+        return self._runtime
 
     def _compile_node(self, node, subplan, meter, table_buffers, compiled,
                       store):
@@ -287,7 +267,6 @@ class PlanExecutor:
         fractions = {
             subplan.sid: execution_fractions(pace_config[subplan.sid])
             for subplan in self.plan.subplans
-            if self._included(subplan.sid)
         }
         return self.run_schedule(fractions, pace_config, collect_results)
 
@@ -422,8 +401,6 @@ class PlanExecutor:
                     ).set(info["reader_lag"])
 
         for qid, root in self.plan.query_roots.items():
-            if root.sid not in compiled:
-                continue
             final = sum(
                 result.subplan_final_work.get(subplan.sid, 0.0)
                 for subplan in self.plan.subplans_of_query(qid)
@@ -437,8 +414,6 @@ class PlanExecutor:
 
     def _validate_paces(self, pace_config):
         for subplan in self.plan.subplans:
-            if not self._included(subplan.sid):
-                continue
             if subplan.sid not in pace_config:
                 raise ExecutionError("no pace for subplan %d" % subplan.sid)
             pace = pace_config[subplan.sid]

@@ -1,6 +1,7 @@
 """Columnar (struct-of-arrays) physical operators with vectorized kernels.
 
-The third engine mode (``HOTPATH.columnar``): delta batches flow between
+The columnar backend (``HOTPATH.columnar``, one of the engine's three
+toggles in :mod:`repro.physical.hotpath`): delta batches flow between
 operators as :class:`~repro.engine.columns.ColumnBatch` structs and the
 per-delta interpreter work of the batched path becomes NumPy array ops --
 mask-based mark filters, dict-of-row-ranges hash-join probes expanded
@@ -24,10 +25,11 @@ Two invariants tie this backend to the batched path:
 Results are tolerance-equivalent to the batched path (float segment
 sums may associate differently only on the exact paths where it cannot
 matter); ``tests/test_columnar_equivalence.py`` and the
-``shared-columnar`` fuzz oracle enforce both invariants.
+``shared-columnar`` fuzz oracle enforce both invariants.  Expressions
+compile once per node into closures over NumPy arrays
+(:func:`compile_columnar`, memoized through
+:func:`~repro.physical.hotpath.cached_artifacts`).
 """
-
-import os
 
 from ..engine.columns import (
     ColumnBatch,
@@ -47,12 +49,6 @@ from ..relational.expressions import (
     Not,
     Or,
     StartsWith,
-)
-from .fused import (
-    fused_aggregate_inputs,
-    fused_decoration_kernel,
-    fused_source_kernel,
-    fusion_active,
 )
 from .hotpath import cached_artifacts, qids_of
 from .operators import AggregateExec, _GroupQueryState
@@ -266,7 +262,7 @@ class ColumnarDecorations:
 
     __slots__ = ("filter_name", "project_name", "filter_pairs",
                  "projection_fns", "stats_mode", "filter_in_per_q",
-                 "filter_out_per_q", "fused")
+                 "filter_out_per_q")
 
     def __init__(self, node, stats_mode=False):
         artifacts = cached_artifacts(
@@ -277,12 +273,6 @@ class ColumnarDecorations:
         self.filter_pairs = artifacts.filter_pairs
         self.projection_fns = artifacts.projection_fns
         self.stats_mode = stats_mode
-        # stats mode needs the unfused path's per-filter counters; the
-        # fused kernel only covers the plain hot path
-        if stats_mode or not fusion_active():
-            self.fused = None
-        else:
-            self.fused = fused_decoration_kernel(node)
         self.filter_in_per_q = {}
         self.filter_out_per_q = {}
 
@@ -291,9 +281,6 @@ class ColumnarDecorations:
         self.filter_out_per_q.clear()
 
     def apply(self, batch, meter):
-        fused = self.fused
-        if fused is not None:
-            return fused(batch, meter)
         pairs = self.filter_pairs
         if pairs:
             n = len(batch)
@@ -401,12 +388,6 @@ class ColumnarSourceExec:
         self.meter = meter
         self.name = "src:%d" % node.uid
         self.decorations = ColumnarDecorations(node, stats_mode)
-        # one generated kernel for mask -> filters -> projection; gated
-        # exactly like the decoration kernel (off in stats mode)
-        if self.decorations.fused is not None:
-            self._fused = fused_source_kernel(node)
-        else:
-            self._fused = None
         self.stats_mode = stats_mode
         self.consolidate_reads = consolidate_reads
         self.width = len(node.core_schema)
@@ -456,9 +437,6 @@ class ColumnarSourceExec:
             batch = ColumnBatch.from_deltas(new_deltas, width)
         self.meter.charge_input(self.name, len(batch))
         self.scanned_total += len(batch)
-        fused = self._fused
-        if fused is not None:
-            return fused(batch, self.subplan_mask, self.meter)
         bits = batch.bits & self.subplan_mask
         keep = bits != 0
         if keep.all():
@@ -587,22 +565,16 @@ class _ColumnarJoinSide:
 
 # Batches below this row count probe with the scalar loop: per-delta
 # python emission beats the arange/repeat expansion until the probe
-# fan-out is large.  Exported so tests can force either path; the
-# ``REPRO_SCALAR_PROBE_MAX`` environment variable overrides the default
-# (0 forces the vectorized probe for every batch).  The default sits at
-# the measured crossover: the probe sweep in
+# fan-out is large.  Exported so tests, the fuzz matrix and the probe
+# sweep can force either path (0 forces the vectorized probe for every
+# batch).  The value sits at the measured crossover: the probe sweep in
 # benchmarks/bench_engine_hotpath.py (``probe_crossover`` in
 # BENCH_columnar.json) shows the vectorized probe overtaking the scalar
 # loop at 16 rows -- lazy gather emission (ColumnBatch.from_gather)
 # removed the per-probe column materialization that used to push the
 # crossover past 100 rows -- so only single-digit delta trickles stay
 # scalar.
-try:
-    SCALAR_PROBE_MAX = int(
-        os.environ.get("REPRO_SCALAR_PROBE_MAX", "") or 16
-    )
-except ValueError:  # unparseable override: keep the measured default
-    SCALAR_PROBE_MAX = 16
+SCALAR_PROBE_MAX = 16
 
 
 class ColumnarJoinExec:
@@ -1120,10 +1092,6 @@ class ColumnarAggregateExec(AggregateExec):
         self._vec_input_fns = artifacts.input_fns
         self._group_indexes = artifacts.group_indexes
         self._child_width = artifacts.child_width
-        if stats_mode or not fusion_active() or not self._vec_input_fns:
-            self._fused_inputs = None
-        else:
-            self._fused_inputs = fused_aggregate_inputs(node)
         self._exact_ok = [True] * len(self.specs)
 
     def reset(self):
@@ -1169,13 +1137,9 @@ class ColumnarAggregateExec(AggregateExec):
         for key in keys:
             touched_add(key)
 
-        fused_inputs = self._fused_inputs
-        if fused_inputs is not None:
-            input_arrays = fused_inputs(batch, n)
-        else:
-            input_arrays = [
-                _materialize(fn(batch), n) for fn in self._vec_input_fns
-            ]
+        input_arrays = [
+            _materialize(fn(batch), n) for fn in self._vec_input_fns
+        ]
         plists = []
         vec_ok = []
         kinds = self._spec_kinds

@@ -1,9 +1,14 @@
-"""Calibration cache: hit fidelity, invalidation, end-to-end warm runs."""
+"""Calibration cache: hit fidelity, invalidation, corrupt entries,
+end-to-end warm runs."""
+
+import json
+import os
 
 import pytest
 
 from repro.core.optimizer import OptimizerConfig
 from repro.cost.cache import (
+    CACHE_FORMAT_VERSION,
     CalibrationCache,
     calibration_key,
     get_default_cache,
@@ -135,6 +140,50 @@ class TestCacheInvalidation:
         cache.clear()
         calibrate_plan(_shared_plan(*_build()), config, cache=cache)
         assert cache.hits == 0
+
+
+class TestCorruptEntries:
+    """A damaged cache file is a miss that recalibrates, never a crash."""
+
+    def _calibrate_over(self, cache, body):
+        catalog, queries = _build()
+        plan = _shared_plan(catalog, queries)
+        config = StreamConfig()
+        cold = calibrate_plan(plan, config, cache=cache)
+        key = cache.key_for(plan, config)
+        with open(os.path.join(cache.cache_dir, key + ".json"), "w") as handle:
+            handle.write(body)
+
+        plan2 = _shared_plan(*_build())
+        before = calibration_execution_count()
+        again = calibrate_plan(plan2, config, cache=cache)
+        assert calibration_execution_count() == before + 1  # recalibrated
+        assert again.query_batch_work == cold.query_batch_work
+        assert again.query_batch_latency == cold.query_batch_latency
+        assert again.run.total_work == cold.run.total_work
+        # the recalibration rewrote a good entry: the next run is warm
+        calibrate_plan(_shared_plan(*_build()), config, cache=cache)
+        assert calibration_execution_count() == before + 1
+        return cache
+
+    @pytest.mark.parametrize("body", ["null", "[]", "7", '"text"', '{"ver'])
+    def test_non_object_or_truncated_file_is_a_miss(self, cache, body):
+        self._calibrate_over(cache, body)
+        assert cache.misses == 2 and cache.hits == 1
+
+    @pytest.mark.parametrize("field", ["query_batch_work", "subplan_total_work"])
+    @pytest.mark.parametrize("value", [[], [1.0, 2.0], 7, None])
+    def test_non_dict_work_table_falls_through(self, cache, field, value):
+        catalog, queries = _build()
+        plan = _shared_plan(catalog, queries)
+        calibrate_plan(plan, StreamConfig(), cache=cache)
+        key = cache.key_for(plan, StreamConfig())
+        with open(os.path.join(cache.cache_dir, key + ".json")) as handle:
+            payload = json.load(handle)
+        assert payload["version"] == CACHE_FORMAT_VERSION
+        payload[field] = value
+        cache.clear()
+        self._calibrate_over(cache, json.dumps(payload))
 
 
 class TestWarmExperimentRuns:

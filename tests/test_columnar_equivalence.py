@@ -125,39 +125,6 @@ class TestFig11WorkIdentity:
         columnar = run_with(plan, paces, batched=True, columnar=True)
         assert_columnar_equivalent(columnar, batched, queries)
 
-    def test_fusion_on_off_bit_identical(self, fig11_setup):
-        # fusion's contract is stronger than work-exact: a fused kernel
-        # performs the same array ops in the same order as the unfused
-        # chain, so *query results* must match bit for bit too, not just
-        # within float tolerance (docs/PERFORMANCE.md, the fuzzer's
-        # shared-columnar-nofuse oracle)
-        plan, paces, _ = fig11_setup
-        fused = run_with(plan, paces, batched=True, columnar=True,
-                         fusion=True)
-        unfused = run_with(plan, paces, batched=True, columnar=True,
-                           fusion=False)
-        assert work_fingerprint(fused) == work_fingerprint(unfused)
-        assert fused.query_results == unfused.query_results
-        assert fused.metadata == unfused.metadata
-
-    def test_fused_kernels_actually_fire(self, fig11_setup):
-        # guard against the bit-identity test passing vacuously because
-        # fusion silently stopped engaging
-        from repro.physical import fused, hotpath
-
-        plan, paces, _ = fig11_setup
-        clear_compiled_caches()
-        with engine_mode(batched=True, columnar=True, fusion=True):
-            assert fused.fusion_active()
-            PlanExecutor(plan, StreamConfig()).run(paces)
-            kernels = [
-                artifact
-                for (kind, _), artifact in hotpath._ARTIFACTS.items()
-                if isinstance(kind, str) and kind.startswith("fused-")
-            ]
-        assert kernels, "no fused kernels were compiled during the run"
-        assert all(hasattr(k, "fused_source") for k in kernels)
-
 
 class TestModeFlipOnOneExecutor:
     def test_reused_executor_recompiles_across_backends(self, fig11_setup):
@@ -170,12 +137,12 @@ class TestModeFlipOnOneExecutor:
         """
         plan, paces, queries = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, reuse_trees=True):
+        with engine_mode(batched=True):
             executor = PlanExecutor(plan, StreamConfig())
             batched_first = executor.run(paces)
-        with engine_mode(batched=True, reuse_trees=True, columnar=True):
+        with engine_mode(batched=True, columnar=True):
             columnar = executor.run(paces)
-        with engine_mode(batched=True, reuse_trees=True):
+        with engine_mode(batched=True):
             batched_again = executor.run(paces)
         assert work_fingerprint(batched_first) == work_fingerprint(
             batched_again
@@ -186,7 +153,7 @@ class TestModeFlipOnOneExecutor:
     def test_columnar_tree_reuse_is_deterministic(self, fig11_setup):
         plan, paces, _ = fig11_setup
         clear_compiled_caches()
-        with engine_mode(batched=True, reuse_trees=True, columnar=True):
+        with engine_mode(batched=True, columnar=True):
             executor = PlanExecutor(plan, StreamConfig())
             first = executor.run(paces)
             second = executor.run(paces)  # reused columnar tree

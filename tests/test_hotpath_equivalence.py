@@ -1,11 +1,13 @@
 """Bit-identity of the batched hot path against the per-tuple reference.
 
 The engine keeps the original per-tuple delta application as a switchable
-reference path (``repro.physical.hotpath``).  These tests are the ISSUE's
-hard constraint: the batched path, the compiled-artifact cache, operator
-tree reuse, and in-place buffer compaction must leave every RunResult
-work/latency number and every query result *bit-identical* on the fig11
-workload (TPC-H, all 22 queries, update-stream churn included).
+reference path (``repro.physical.hotpath``).  The batched path, shared
+arrangements, the compiled-artifact cache, operator tree reuse, and
+in-place buffer compaction must leave every RunResult work/latency number
+and every query result *bit-identical* on the fig11 workload (TPC-H, all
+22 queries, update-stream churn included).  The two caches are always
+on; their cold oracle is a fresh ``PlanExecutor`` after
+``clear_compiled_caches()``.
 """
 
 import os
@@ -16,7 +18,12 @@ from repro.engine.buffers import Buffer
 from repro.engine.executor import PlanExecutor
 from repro.engine.stream import StreamConfig
 from repro.errors import ExecutionError
-from repro.physical.hotpath import clear_compiled_caches, engine_mode
+from repro.physical.hotpath import (
+    clear_compiled_caches,
+    columnar_available,
+    compile_cache_stats,
+    engine_mode,
+)
 from repro.relational.tuples import Delta
 from repro.workloads.tpch import (
     ALL_QUERY_NAMES,
@@ -68,68 +75,88 @@ class TestFig11BitIdentity:
     def test_batched_matches_reference(self, fig11_setup):
         plan, paces = fig11_setup
         batched = run_with(plan, paces, batched=True)
-        reference = run_with(
-            plan, paces, batched=False, compile_cache=False, reuse_trees=False
-        )
+        reference = run_with(plan, paces, batched=False)
         assert fingerprint(batched) == fingerprint(reference)
 
     def test_each_toggle_is_individually_neutral(self, fig11_setup):
         plan, paces = fig11_setup
         baseline = fingerprint(
-            run_with(plan, paces, batched=False, compile_cache=False,
-                     reuse_trees=False, arrangements=False)
+            run_with(plan, paces, batched=False, arrangements=False)
         )
-        for toggle in ("batched", "compile_cache", "reuse_trees",
-                       "arrangements"):
-            mode = {"batched": False, "compile_cache": False,
-                    "reuse_trees": False, "arrangements": False, toggle: True}
+        for toggle in ("batched", "arrangements"):
+            mode = {"batched": False, "arrangements": False, toggle: True}
             assert fingerprint(run_with(plan, paces, **mode)) == baseline, toggle
 
     def test_uniform_pace_identity(self, fig11_setup):
         plan, _ = fig11_setup
         paces = {subplan.sid: 3 for subplan in plan.subplans}
         batched = run_with(plan, paces, batched=True)
-        reference = run_with(
-            plan, paces, batched=False, compile_cache=False, reuse_trees=False
-        )
+        reference = run_with(plan, paces, batched=False)
         assert fingerprint(batched) == fingerprint(reference)
+
+
+_CACHE_MODES = [
+    pytest.param({"batched": True}, id="batched"),
+    pytest.param({"batched": False}, id="reference"),
+    pytest.param(
+        {"batched": True, "columnar": True}, id="columnar",
+        marks=pytest.mark.skipif(
+            not columnar_available(), reason="columnar backend unavailable"
+        ),
+    ),
+]
+
+
+class TestCompileCache:
+    @pytest.mark.parametrize("mode", _CACHE_MODES)
+    def test_warm_cache_matches_cold_compile(self, fig11_setup, mode):
+        plan, paces = fig11_setup
+        cold = run_with(plan, paces, **mode)  # clears every compiled cache
+        misses = compile_cache_stats["misses"]
+        hits = compile_cache_stats["hits"]
+        assert misses > 0
+        with engine_mode(**mode):
+            warm = PlanExecutor(plan, StreamConfig()).run(paces)
+        # the fresh executor compiled nothing new: every artifact came
+        # from the warm cache
+        assert compile_cache_stats["misses"] == misses
+        assert compile_cache_stats["hits"] > hits
+        assert fingerprint(warm) == fingerprint(cold)
+        assert warm.metadata == cold.metadata
 
 
 class TestTreeReuse:
     def test_reused_tree_matches_fresh_executor(self, fig11_setup):
         plan, paces = fig11_setup
-        with engine_mode(batched=True, reuse_trees=True):
-            executor = PlanExecutor(plan, StreamConfig())
-            first = fingerprint(executor.run(paces))
-            assert executor._runtime is not None
-            second = fingerprint(executor.run(paces))  # reused tree
-            fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
+        executor = PlanExecutor(plan, StreamConfig())
+        first = fingerprint(executor.run(paces))
+        assert executor._runtime is not None
+        second = fingerprint(executor.run(paces))  # reused tree
+        fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(paces))
         assert first == second == fresh
 
     def test_reuse_across_different_paces(self, fig11_setup):
         plan, paces = fig11_setup
         lazy = {subplan.sid: 1 for subplan in plan.subplans}
-        with engine_mode(batched=True, reuse_trees=True):
-            executor = PlanExecutor(plan, StreamConfig())
-            executor.run(paces)
-            reused = fingerprint(executor.run(lazy))
-            fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(lazy))
+        executor = PlanExecutor(plan, StreamConfig())
+        executor.run(paces)
+        reused = fingerprint(executor.run(lazy))
+        fresh = fingerprint(PlanExecutor(plan, StreamConfig()).run(lazy))
         assert reused == fresh
 
     def test_stats_mode_counters_reset_on_reuse(self, fig11_setup):
         plan, paces = fig11_setup
-        with engine_mode(batched=True, reuse_trees=True):
-            executor = PlanExecutor(plan, StreamConfig(), stats_mode=True)
-            executor.run(paces)
-            first = {
-                sid: unit.meter.snapshot()
-                for sid, unit in executor.compiled.items()
-            }
-            executor.run(paces)
-            second = {
-                sid: unit.meter.snapshot()
-                for sid, unit in executor.compiled.items()
-            }
+        executor = PlanExecutor(plan, StreamConfig(), stats_mode=True)
+        executor.run(paces)
+        first = {
+            sid: unit.meter.snapshot()
+            for sid, unit in executor.compiled.items()
+        }
+        executor.run(paces)
+        second = {
+            sid: unit.meter.snapshot()
+            for sid, unit in executor.compiled.items()
+        }
         assert first == second
 
 
@@ -203,11 +230,9 @@ def test_fig11_sweep_jobs2_bit_identical(monkeypatch, tmp_path):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     kwargs = dict(scale=0.1, max_pace=6, levels=(0.1,), jobs=2)
-    with engine_mode(batched=True, compile_cache=True, reuse_trees=True):
+    with engine_mode(batched=True):
         batched = fig11(**kwargs)
     monkeypatch.setenv("REPRO_ENGINE_UNBATCHED", "1")
-    monkeypatch.setenv("REPRO_ENGINE_NO_COMPILE_CACHE", "1")
-    monkeypatch.setenv("REPRO_ENGINE_NO_PLAN_REUSE", "1")
-    with engine_mode(batched=False, compile_cache=False, reuse_trees=False):
+    with engine_mode(batched=False):
         reference = fig11(**kwargs)
     assert batched.tables == reference.tables
